@@ -1,4 +1,4 @@
-// E6: ablation of the Figure-3 delta accounting (DESIGN.md D1).
+// E6: ablation of the Figure-3 delta accounting (core/skp_solver.hpp).
 //
 // The paper's forward move charges the stretch penalty with the tail
 // probability sum_{i=j..n} P_i, dropping items excluded earlier in the
@@ -7,7 +7,7 @@
 // different lists, how often the PaperTail list is strictly worse in true
 // g, and the size of the loss. It also reports how often BOTH rules fall
 // short of the unrestricted-order optimum (the Theorem-1 validity gap,
-// DESIGN.md D8).
+// core/skp_full.hpp).
 #include <iomanip>
 #include <iostream>
 

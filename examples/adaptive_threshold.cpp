@@ -36,7 +36,9 @@ Outcome run(bool adaptive, double fixed_threshold, std::uint64_t seed) {
   source.teleport(0);
   Rng walk = build.split(1);
 
-  SlotCache cache(mcfg.n_states, 16);
+  // Ordered by the DS scores the engine below arbitrates with; every
+  // access is recorded through record_access to keep that order current.
+  SlotCache cache(mcfg.n_states, 16, SubArbitration::DS);
   FreqTracker freq(mcfg.n_states);
 
   double threshold = adaptive ? 0.0 : fixed_threshold;
@@ -72,7 +74,7 @@ Outcome run(bool adaptive, double fixed_threshold, std::uint64_t seed) {
     const double T = realized_access_time_cached(inst, plan.fetch,
                                                  plan.evict, before, next);
     T_stats.add(T);
-    freq.record(next);
+    record_access(freq, cache, next, source.retrieval_times());
 
     // Controller feedback: was each prefetched item from this cycle the
     // one requested?
@@ -84,10 +86,9 @@ Outcome run(bool adaptive, double fixed_threshold, std::uint64_t seed) {
     if (!cache.contains(next)) {
       net_time += source.retrieval_time(next);
       if (cache.full()) {
-        const ItemId d =
-            choose_victim(source.instance_at(
-                              static_cast<std::size_t>(next)),
-                          cache.contents(), &freq, ecfg.arbitration);
+        const ItemId d = choose_victim(
+            source.instance_at(static_cast<std::size_t>(next)), cache,
+            &freq, ecfg.arbitration);
         cache.replace(d, next);
       } else {
         cache.insert(next);

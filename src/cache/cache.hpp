@@ -1,10 +1,12 @@
-// Slot cache with equal item sizes (the Section-5 assumption, DESIGN.md D6).
+// Slot cache with equal item sizes (the Section-5 assumption: every
+// item fills one slot; the size-aware generalization is SizedCache).
 //
 // The cache stores item ids; capacity counts items. Membership queries are
 // O(1) via a presence bitmap; the content list is maintained in insertion
 // order so iteration is deterministic. Eviction decisions are made by the
 // caller (arbitration / replacement policies) — the cache itself only
-// enforces capacity and uniqueness.
+// enforces capacity and uniqueness, and keeps a second index of its
+// contents in Figure-6 victim order (see victim_order()).
 #pragma once
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "cache/freq_tracker.hpp"
 #include "cache/zobrist.hpp"
 #include "core/item.hpp"
 
@@ -20,7 +23,13 @@ namespace skp {
 class SlotCache {
  public:
   // `catalog_size` bounds valid item ids; `capacity` >= 1 slots.
-  SlotCache(std::size_t catalog_size, std::size_t capacity);
+  // `order` names the sub-arbitration the victim index is ordered by:
+  // None keeps it in ascending id; LFU/DS key it by a per-item score
+  // (catalog-wide, all 0 initially) that the caller keeps equal to the
+  // tracker's count (LFU) or count * r (DS) through set_score/rescore —
+  // core/arbitration.hpp's record_access does both.
+  SlotCache(std::size_t catalog_size, std::size_t capacity,
+            SubArbitration order = SubArbitration::None);
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return contents_.size(); }
@@ -55,8 +64,7 @@ class SlotCache {
     pos_[static_cast<std::size_t>(item)] =
         static_cast<std::uint32_t>(contents_.size());
     contents_.push_back(item);
-    sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), item),
-                   item);
+    sorted_.insert(lower_bound(sorted_.begin(), sorted_.end(), item), item);
     present_[static_cast<std::size_t>(item)] = 1;
     fingerprint_ ^= zobrist_item_key(item);
   }
@@ -76,7 +84,7 @@ class SlotCache {
           static_cast<std::uint32_t>(k - 1);
     }
     contents_.pop_back();
-    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), item));
+    sorted_.erase(lower_bound(sorted_.begin(), sorted_.end(), item));
     present_[static_cast<std::size_t>(item)] = 0;
     fingerprint_ ^= zobrist_item_key(item);
   }
@@ -91,13 +99,57 @@ class SlotCache {
   // compaction — order of survivors is preserved).
   std::span<const ItemId> contents() const noexcept { return contents_; }
 
-  // Current contents in ascending id order (maintained incrementally;
-  // O(size) memmove per mutation). The Figure-6 victim fast path walks
-  // this to yield zero-Pr victims in their exact arbitration order.
-  std::span<const ItemId> sorted_contents() const noexcept {
-    return sorted_;
+  // Current contents in victim order: ascending (score, id), which is
+  // ascending id when unordered (maintained incrementally; O(size)
+  // memmove per mutation). Every cached item with P == 0 has Pr == 0, so
+  // walking this yields the zero-Pr victims in their exact Figure-6
+  // arbitration order (Pr, sub-arbitration score, id).
+  std::span<const ItemId> victim_order() const noexcept { return sorted_; }
+
+  // The sub-arbitration this cache's victim order is keyed by.
+  SubArbitration order() const noexcept { return order_; }
+
+  // Victim-order score of `item` (0 for an unordered cache).
+  double score(ItemId item) const {
+    check_id(item);
+    return scores_.empty() ? 0.0 : scores_[static_cast<std::size_t>(item)];
   }
 
+  // Sets `item`'s score (cached or not; an ordered cache only) and moves
+  // it to its new place in the victim order: one rotate over the items it
+  // passes.
+  void set_score(ItemId item, double score) {
+    check_id(item);
+    SKP_REQUIRE(!scores_.empty(), "set_score on an unordered cache");
+    double& cur = scores_[static_cast<std::size_t>(item)];
+    if (cur == score) return;
+    if (!contains(item)) {
+      cur = score;
+      return;
+    }
+    const auto at = lower_bound(sorted_.begin(), sorted_.end(), item);
+    const bool up = score > cur;
+    cur = score;
+    if (up) {
+      std::rotate(at, at + 1, lower_bound(at + 1, sorted_.end(), item));
+    } else {
+      std::rotate(lower_bound(sorted_.begin(), at, item), at, at + 1);
+    }
+  }
+
+  // Re-derives every score as score_of(id) (an ordered cache only) and
+  // re-sorts the victim order; for changes that touch every score at once.
+  template <class ScoreOf>
+  void rescore(ScoreOf score_of) {
+    SKP_REQUIRE(!scores_.empty(), "rescore on an unordered cache");
+    for (std::size_t i = 0; i < scores_.size(); ++i) {
+      scores_[i] = score_of(static_cast<ItemId>(i));
+    }
+    std::sort(sorted_.begin(), sorted_.end(),
+              [this](ItemId a, ItemId b) { return before(a, b); });
+  }
+
+  // Empties the cache; scores are kept (they describe items, not slots).
   void clear();
 
  private:
@@ -107,9 +159,32 @@ class SlotCache {
         "item " << item << " outside catalog of " << present_.size());
   }
 
+  // Victim-order comparison: (score, id) ascending.
+  bool before(ItemId a, ItemId b) const {
+    if (!scores_.empty()) {
+      const double sa = scores_[static_cast<std::size_t>(a)];
+      const double sb = scores_[static_cast<std::size_t>(b)];
+      if (sa != sb) return sa < sb;
+    }
+    return a < b;
+  }
+
+  // Position of `item` (present or not) in the victim-ordered [first,
+  // last).
+  std::vector<ItemId>::iterator lower_bound(
+      std::vector<ItemId>::iterator first,
+      std::vector<ItemId>::iterator last, ItemId item) const {
+    if (scores_.empty()) return std::lower_bound(first, last, item);
+    return std::lower_bound(first, last, item, [this](ItemId a, ItemId b) {
+      return before(a, b);
+    });
+  }
+
   std::size_t capacity_;
+  SubArbitration order_;
   std::vector<ItemId> contents_;
-  std::vector<ItemId> sorted_;  // same set, ascending id
+  std::vector<ItemId> sorted_;  // same set, victim order
+  std::vector<double> scores_;  // per catalog item; empty when unordered
   std::vector<char> present_;
   std::uint64_t fingerprint_ = 0;
   // item -> index in contents_ (meaningful only while present_); turns

@@ -15,6 +15,12 @@
 
 namespace skp {
 
+// Sub-arbitration (Section 5.2): how ties among equal-Pr eviction victims
+// are broken — by lowest id (None), by the access count (LFU), or by the
+// delay-saving profit count * r (DS). Declared next to the tracker that
+// supplies the scores, so a SlotCache can be ordered by one of them.
+enum class SubArbitration { None, LFU, DS };
+
 class FreqTracker {
  public:
   // Tracks items 0..n-1. decay in (0, 1]: counts are multiplied by `decay`
@@ -24,11 +30,12 @@ class FreqTracker {
 
   std::size_t n() const noexcept { return counts_.size(); }
 
-  // Records one access to `item`. Inline: the sim loops record every
-  // request, and the LFU/DS victim-ranking path reads scores hundreds of
-  // millions of times per sweep — keeping these in the header removes a
-  // cross-TU call per touch.
-  void record(ItemId item) {
+  // Records one access to `item`; returns true when the access also ran
+  // a decay pass (every count changed, not just `item`'s). Inline: the
+  // sim loops record every request, and the LFU/DS victim-ranking path
+  // reads scores hundreds of millions of times per sweep — keeping these
+  // in the header removes a cross-TU call per touch.
+  bool record(ItemId item) {
     SKP_REQUIRE(
         item >= 0 && static_cast<std::size_t>(item) < counts_.size(),
         "item " << item << " out of range");
@@ -37,7 +44,9 @@ class FreqTracker {
     if (decay_ < 1.0 && ++since_decay_ >= decay_interval_) {
       since_decay_ = 0;
       for (auto& c : counts_) c *= decay_;
+      return true;
     }
+    return false;
   }
 
   // Access count (possibly decayed) of `item`.

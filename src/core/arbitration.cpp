@@ -38,16 +38,8 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
     }
     return victim;
   }
-  auto sub_score = [&](ItemId i) {
-    switch (cfg.sub) {
-      case SubArbitration::LFU:
-        return freq->frequency(i);
-      case SubArbitration::DS:
-        return freq->delay_saving_profit(i, inst.r[InstanceView::idx(i)]);
-      case SubArbitration::None:
-        return 0.0;
-    }
-    return 0.0;  // unreachable
+  auto sub_of = [&](ItemId i) {
+    return sub_score(cfg.sub, *freq, i, inst.r);
   };
   // Sub-arbitrated path: the Pr products still bulk-gather (the dominant
   // per-item cost); sub scores stay lazy — computed only when an item
@@ -69,12 +61,12 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
       if (victim == kNoItem || pr < victim_pr) {
         victim = i;
         victim_pr = pr;
-        victim_sub = sub_score(i);
+        victim_sub = sub_of(i);
         continue;
       }
       if (pr > victim_pr) continue;
       // Pr tie: sub-arbitration, then lowest id for determinism.
-      const double s = sub_score(i);
+      const double s = sub_of(i);
       if (s < victim_sub || (s == victim_sub && i < victim)) {
         victim = i;
         victim_sub = s;
@@ -82,6 +74,72 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
     }
   }
   return victim;
+}
+
+ItemId choose_victim(InstanceView inst, const SlotCache& cache,
+                     const FreqTracker* freq, const ArbitrationConfig& cfg) {
+  if (cache.order() != cfg.sub) {
+    return choose_victim(inst, cache.contents(), freq, cfg);
+  }
+  SKP_REQUIRE(!cache.empty(), "choose_victim over empty cache");
+  SKP_REQUIRE(inst.n() == cache.presence().size(),
+              "catalog of " << inst.n() << " items vs cache catalog of "
+                            << cache.presence().size());
+  // Every P == 0 item has Pr == 0, the least possible, so the first one
+  // in (sub score, id) order wins outright. Without one, the walk order
+  // settles Pr ties: the first item reaching the minimal Pr has the
+  // least (sub score, id) among them.
+  ItemId victim = kNoItem;
+  double victim_pr = 0.0;
+  for (const ItemId c : cache.victim_order()) {
+    const std::size_t i = InstanceView::idx(c);
+    if (inst.P[i] == 0.0) return c;
+    const double pr = inst.P[i] * inst.r[i];
+    if (victim == kNoItem || pr < victim_pr) {
+      victim = c;
+      victim_pr = pr;
+    }
+  }
+  return victim;
+}
+
+double sub_score(SubArbitration sub, const FreqTracker& freq, ItemId item,
+                 std::span<const double> r) {
+  switch (sub) {
+    case SubArbitration::LFU:
+      return freq.frequency(item);
+    case SubArbitration::DS:
+      return freq.delay_saving_profit(item, r[InstanceView::idx(item)]);
+    case SubArbitration::None:
+      return 0.0;
+  }
+  return 0.0;  // unreachable
+}
+
+void record_access(FreqTracker& freq, SlotCache& cache, ItemId item,
+                   std::span<const double> r) {
+  const bool decayed = freq.record(item);
+  if (cache.order() == SubArbitration::None) return;
+  if (decayed) {
+    rescore_victim_order(cache, freq, r);
+    return;
+  }
+  SKP_REQUIRE(r.size() == cache.presence().size(),
+              "retrieval times for " << r.size()
+                                     << " items vs cache catalog of "
+                                     << cache.presence().size());
+  cache.set_score(item, sub_score(cache.order(), freq, item, r));
+}
+
+void rescore_victim_order(SlotCache& cache, const FreqTracker& freq,
+                          std::span<const double> r) {
+  if (cache.order() == SubArbitration::None) return;
+  SKP_REQUIRE(r.size() == cache.presence().size() &&
+                  freq.n() == cache.presence().size(),
+              "tracker/retrieval times vs cache catalog of "
+                  << cache.presence().size());
+  const SubArbitration sub = cache.order();
+  cache.rescore([&](ItemId i) { return sub_score(sub, freq, i, r); });
 }
 
 bool admits_prefetch(InstanceView inst, ItemId f, ItemId d,
@@ -127,16 +185,8 @@ void gather_victims_by_density_into(InstanceView inst,
     return;
   }
   pool.assign(cache.contents().begin(), cache.contents().end());
-  auto sub_score = [&](ItemId i) {
-    switch (cfg.sub) {
-      case SubArbitration::LFU:
-        return freq->frequency(i);
-      case SubArbitration::DS:
-        return freq->delay_saving_profit(i, inst.r[InstanceView::idx(i)]);
-      case SubArbitration::None:
-        return 0.0;
-    }
-    return 0.0;
+  auto sub_of = [&](ItemId i) {
+    return freq != nullptr ? sub_score(cfg.sub, *freq, i, inst.r) : 0.0;
   };
   auto density = [&](ItemId i) {
     return inst.profit(i) / cache.size_of(i);
@@ -144,7 +194,7 @@ void gather_victims_by_density_into(InstanceView inst,
   std::sort(pool.begin(), pool.end(), [&](ItemId a, ItemId b) {
     const double da = density(a), db = density(b);
     if (da != db) return da < db;
-    const double sa = sub_score(a), sb = sub_score(b);
+    const double sa = sub_of(a), sb = sub_of(b);
     if (sa != sb) return sa < sb;
     return a < b;
   });

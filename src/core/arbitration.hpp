@@ -10,21 +10,26 @@
 //   * LFU  — least frequently used.
 //   * DS   — lowest delay-saving profit freq_i * r_i (WATCHMAN-style).
 //
-// DESIGN.md D4: the paper's prose demands strict P_f r_f > P_d r_d while
-// the listing breaks only on '<' (ties admit the prefetch). `strict_ties`
-// selects the prose behaviour; the default follows the listing.
+// Admission ties: the paper's prose demands strict P_f r_f > P_d r_d while
+// the Figure-6 listing breaks only on '<' (ties admit the prefetch).
+// `strict_ties` selects the prose behaviour; the default follows the
+// listing.
+//
+// Victim order: a SlotCache ordered by the engine's sub-arbitration keeps
+// its contents sorted by (sub score, id), so the Figure-6 order (Pr, sub
+// score, id) starts with its P == 0 items in index order. Drivers keep
+// the scores current by recording accesses through record_access.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "cache/sized_cache.hpp"
 #include "core/item.hpp"
 
 namespace skp {
-
-enum class SubArbitration { None, LFU, DS };
 
 struct ArbitrationConfig {
   SubArbitration sub = SubArbitration::None;
@@ -36,6 +41,33 @@ struct ArbitrationConfig {
 // null only when cfg.sub == None.
 ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
                      const FreqTracker* freq, const ArbitrationConfig& cfg);
+
+// Demand-miss victim of a non-empty slot cache: the same item as
+// choose_victim over cache.contents(). When the cache is ordered by
+// cfg.sub (an unordered cache is ordered by None) this is one pass over
+// its victim order that stops at the first P == 0 item, or else takes the
+// minimum Pr over the positive-P items seen; otherwise it is
+// choose_victim over the contents.
+ItemId choose_victim(InstanceView inst, const SlotCache& cache,
+                     const FreqTracker* freq, const ArbitrationConfig& cfg);
+
+// The sub-arbitration score of `item` that victim ranking compares: 0
+// under None, freq_i under LFU, freq_i * r_i under DS.
+double sub_score(SubArbitration sub, const FreqTracker& freq, ItemId item,
+                 std::span<const double> r);
+
+// Records an access to `item` in `freq` and keeps an ordered `cache`'s
+// victim order equal to the tracker's scores over retrieval times `r`
+// (the same r every planning round reads): the item's score is updated,
+// and a decay pass rescores every item. A no-op beyond freq.record for
+// an unordered cache.
+void record_access(FreqTracker& freq, SlotCache& cache, ItemId item,
+                   std::span<const double> r);
+
+// Re-derives every score of an ordered `cache` from `freq` (after
+// FreqTracker::reset, say). No-op for an unordered cache.
+void rescore_victim_order(SlotCache& cache, const FreqTracker& freq,
+                          std::span<const double> r);
 
 // True when prefetch candidate `f` is allowed to displace victim `d`
 // (Pr-arbitration admission test).

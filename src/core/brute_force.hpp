@@ -34,7 +34,7 @@ BruteForceResult brute_force_skp(const Instance& inst,
 // Figure-3 algorithm searches: each subset is fetched in Eq.-(5) order, so
 // its last element is its minimal-probability member and validity demands
 // the other members fit strictly within v. This is the exact reference for
-// solve_skp. (DESIGN.md D8: Theorem 1's swap argument silently assumes the
+// solve_skp. (Theorem 1's swap argument silently assumes the
 // swapped list stays Eq.-(1)-valid, which can fail; the full-space optimum
 // of brute_force_skp can therefore exceed this one.)
 BruteForceResult brute_force_skp_canonical(const Instance& inst,

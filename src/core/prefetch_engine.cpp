@@ -113,11 +113,12 @@ void profit_order_into(InstanceView inst, std::span<const ItemId> fetch,
 
 // Caches every cached item's eviction rank — (Pr, sub-arbitration score,
 // id) — for one planning round. The scores are fixed while one plan is
-// built, so victim k is simply the k-th smallest rank; extract_victim
-// pulls them lazily (selection-scan over the cached keys), which matches
+// built, so victim k is simply the k-th smallest rank, which matches
 // repeated choose_victim + removal bit-for-bit while computing each Pr
-// product once instead of once per scan (the fixed-seed equivalence tests
-// pin the equality).
+// product once instead of once per victim (the fixed-seed equivalence
+// tests pin the equality). Only a cache that is not ordered by the
+// engine's sub-arbitration needs this; an ordered one ranks its positive-P
+// items alone (admit_slot_into).
 void rank_victims(InstanceView inst, std::span<const ItemId> cached,
                   const FreqTracker* freq, const ArbitrationConfig& cfg,
                   PlanScratch& scratch) {
@@ -663,23 +664,26 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
   // its item is the next access) but still evicts the minimal-Pr victim.
   //
   // Victim extraction: the eviction order is ascending (Pr, sub, id) with
-  // Pr = P_d r_d == 0 exactly when P_d == 0 (r is positive). Without
-  // sub-arbitration that order is "cached items with P == 0 by ascending
-  // id, then positive-Pr items by rank" — the zero-Pr group falls
-  // straight out of the cache's id-sorted index, so the common case
-  // (sparse P rows, few victims) never builds the O(|C|) ranking; only
-  // the positive-Pr tail ranks, and only if reached. LFU/DS tie-breaks
-  // depend on frequencies, so sub-arbitration keeps the full ranking.
+  // Pr = P_d r_d == 0 exactly when P_d == 0 (r is positive). So it is
+  // "cached items with P == 0 by (sub, id), then positive-Pr items by
+  // rank". A cache ordered by this engine's sub-arbitration (an unordered
+  // cache is ordered by None) keeps its contents in (sub, id) order, so
+  // the zero-Pr group falls straight out of that index and the common
+  // case (sparse P rows, few victims) never builds the O(|C|) ranking:
+  // the walk sets the positive-P items it passes aside, and only they
+  // rank, only if the walk runs dry. A cache ordered otherwise (an
+  // unordered cache under LFU/DS) ranks every cached item, with scores
+  // gathered from `freq`.
   profit_order_into(inst, out.fetch, scratch.admit_keys, scratch.by_profit);
-  const bool fast_victims =
-      config_.arbitration.sub == SubArbitration::None;
-  const std::span<const ItemId> sorted = cache.sorted_contents();
-  std::size_t zero_cursor = 0;  // cursor over the id-sorted cached items
+  const bool ordered = cache.order() == config_.arbitration.sub;
+  const std::span<const ItemId> order = cache.victim_order();
+  std::size_t zero_cursor = 0;  // cursor over the victim-ordered items
   bool ranked_built = false;    // rank lazily: uncontested rounds skip it
   std::size_t next_victim = 0;
   std::size_t free_slots = cache.capacity() - cache.size();
   scratch.begin_epoch(inst.n());  // marks = committed membership
   scratch.victim_of.clear();
+  scratch.ranked.clear();
   for (ItemId f : scratch.by_profit) {
     if (free_slots > 0) {
       --free_slots;
@@ -688,29 +692,24 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
     }
     double victim_pr = 0.0;
     ItemId victim_id = kNoItem;
-    if (fast_victims) {
-      while (zero_cursor < sorted.size() &&
-             inst.P[static_cast<std::size_t>(sorted[zero_cursor])] != 0.0) {
-        ++zero_cursor;
-      }
-      if (zero_cursor < sorted.size()) {
-        victim_id = sorted[zero_cursor++];  // Pr == 0, minimal id first
+    if (ordered) {
+      while (zero_cursor < order.size()) {
+        const ItemId c = order[zero_cursor++];
+        const auto ci = static_cast<std::size_t>(c);
+        if (inst.P[ci] == 0.0) {
+          victim_id = c;  // Pr == 0, least (sub, id) first
+          break;
+        }
+        scratch.ranked.push_back(
+            {inst.P[ci] * inst.r[ci], cache.score(c), c});
       }
     }
     if (victim_id == kNoItem) {
       if (!ranked_built) {
-        if (fast_victims) {
-          // Zero-Pr pool exhausted: rank the remaining (positive-Pr)
-          // cached items. Every zero-Pr item was already consumed, so
-          // restricting the ranking to P > 0 reproduces the tail of the
-          // full ranking exactly.
-          scratch.ranked.clear();
-          for (const ItemId c : sorted) {
-            const auto ci = static_cast<std::size_t>(c);
-            if (inst.P[ci] == 0.0) continue;
-            scratch.ranked.push_back({inst.P[ci] * inst.r[ci], 0.0, c});
-          }
-        } else {
+        // Ordered: the zero-Pr pool is exhausted and the walk set every
+        // positive-Pr item aside, which is exactly the tail of the full
+        // ranking.
+        if (!ordered) {
           rank_victims(inst, cache.contents(), freq, config_.arbitration,
                        scratch);
         }

@@ -115,7 +115,7 @@ class PrefetchEngine {
                        std::optional<ItemId> oracle_next = std::nullopt,
                        std::span<const ItemId> positive_hint = {}) const;
 
-  // Size-aware planning (extension; DESIGN.md D6 / paper Section 6): the
+  // Size-aware planning (extension; the paper's Section-6 open item): the
   // Figure-6 loop generalized to heterogeneous item sizes. Each candidate
   // (descending P_f r_f) gathers victims by ascending Pr *density* until
   // it fits and is admitted only if P_f r_f beats the total Pr it

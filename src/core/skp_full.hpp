@@ -1,4 +1,4 @@
-// Exact SKP over the *full* Eq.-(1) space (extension; DESIGN.md D8).
+// Exact SKP over the *full* Eq.-(1) space (extension beyond the paper).
 //
 // Theorem 1 licenses restricting the search to canonical-order lists, but
 // its exchange argument assumes the swapped list stays valid, which fails

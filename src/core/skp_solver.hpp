@@ -8,7 +8,7 @@
 // upper bound of Eq. (7); Theorem 3 gives the incremental delta used during
 // the Horowitz–Sahni style depth-first search of the paper's Figure 3.
 //
-// Delta accounting (DESIGN.md, D1): the paper's Figure 3 computes the
+// Delta accounting: the paper's Figure 3 computes the
 // stretch penalty with the *tail* probability sum_{i=j..n} P_i, which
 // silently drops items excluded earlier in the search; Eq. (3)/Theorem 3
 // require the complement total_mass - sum_{i in K} P_i. Both rules are

@@ -54,7 +54,8 @@ ClientSession::ClientSession(
     : cat_(std::move(catalog)),
       net_(std::move(net)),
       engine_(engine),
-      cache_(deref_catalog(cat_).n(), cache_capacity),
+      cache_(deref_catalog(cat_).n(), cache_capacity,
+             engine.arbitration.sub),
       freq_(cat_->n()),
       unused_prefetch_(cat_->n(), 0) {
   SKP_REQUIRE(net_.bandwidth > 0.0, "bandwidth must be positive");
@@ -223,8 +224,8 @@ double ClientSession::request(ItemId item, double viewing_time,
     // Demand fetch: waits behind every committed prefetch (the paper's
     // no-abort assumption) and must claim a victim when the cache is full.
     if (cache_.full()) {
-      const ItemId d = choose_victim(inst, cache_.contents(), &freq_,
-                                     engine_.config().arbitration);
+      const ItemId d =
+          choose_victim(inst, cache_, &freq_, engine_.config().arbitration);
       if (unused_prefetch_[Instance::idx(d)]) {
         ++metrics_.wasted_prefetches;
         unused_prefetch_[Instance::idx(d)] = 0;
@@ -243,7 +244,7 @@ double ClientSession::request(ItemId item, double viewing_time,
   }
   clock_.run_until(t_req + T);
 
-  freq_.record(item);
+  record_access(freq_, cache_, item, cat_->r);
   // Under LFU/DS sub-arbitration the record above changes victim scores,
   // invalidating every stored plan that consulted them.
   if (plan_cache_ &&

@@ -217,7 +217,7 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
   ecfg.evaluate_plan_g = false;
   const PrefetchEngine engine(ecfg);
 
-  SlotCache cache(n, cfg.cache_size);
+  SlotCache cache(n, cfg.cache_size, cfg.sub);
   FreqTracker freq(n);
   auto predictor = make_predictor(cfg.predictor, n);
 
@@ -382,7 +382,7 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
     }
 
     // Serve the request: record frequency, learn, demand-fetch on miss.
-    freq.record(next);
+    record_access(freq, cache, next, source.retrieval_times());
     if (predictor) predictor->observe(next);
     // The observation/record just invalidated every stored plan that
     // depended on predictor or frequency state — which is why the plan
@@ -407,8 +407,8 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
           predictor->predict_into(scratch.P);
           next_inst.P = scratch.P;
         }
-        const ItemId d = choose_victim(next_inst, cache.contents(), &freq,
-                                       ecfg.arbitration);
+        const ItemId d =
+            choose_victim(next_inst, cache, &freq, ecfg.arbitration);
         if (unused_prefetch[InstanceView::idx(d)]) {
           if (counted) ++m.wasted_prefetches;
           unused_prefetch[InstanceView::idx(d)] = 0;

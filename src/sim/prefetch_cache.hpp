@@ -1,6 +1,6 @@
 // The "prefetch and cache" Monte-Carlo simulation of Section 5.3 (Fig. 7).
 //
-// Protocol (paper caption + DESIGN.md D5): a Markov source walks its
+// Protocol (our reading of the Figure-7 caption): a Markov source walks its
 // states; in state s the prefetcher sees P = transition row of s and
 // v = v_s, plans (F, D) against the current cache via the Figure-6
 // algorithm, the prefetched items replace the victims, then the source

@@ -319,7 +319,7 @@ SimResult run_scenario_driver(const SimSpec& spec) {
   auto predictor = make_runtime_predictor(spec.predictor, n);
   auto policy =
       make_runtime_policy(spec.replacement, g.root.split(4).next_u64());
-  SlotCache cache(n, spec.cache_size);
+  SlotCache cache(n, spec.cache_size, spec.sub);
   FreqTracker freq(n);  // Pr-arbitration sub-score substrate
 
   EngineConfig ecfg;
@@ -422,7 +422,7 @@ SimResult run_scenario_driver(const SimSpec& spec) {
       access_with_policy(cache, *policy, item);
     }
     ++m.requests;
-    freq.record(item);
+    record_access(freq, cache, item, r);
     predictor->observe(item);
   }
   m.network_time = m.prefetch_network_time + m.demand_network_time;

@@ -45,7 +45,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
   ecfg.min_profit_threshold = cfg.min_profit_threshold;
   const PrefetchEngine engine(ecfg);
 
-  SlotCache cache(n, cfg.cache_size);
+  SlotCache cache(n, cfg.cache_size, cfg.sub);
   FreqTracker freq(n);
   auto predictor = make_trace_predictor(cfg.predictor, n);
 
@@ -122,7 +122,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
       if (T == 0.0) ++m.hits;
     }
 
-    freq.record(rec.item);
+    record_access(freq, cache, rec.item, trace.retrieval_times());
     predictor->observe(rec.item);
     if (plans) plans->bump_generation();
     context = rec.item;
@@ -140,8 +140,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
         predictor->predict_into(scratch.P);
         const InstanceView after(scratch.P, trace.retrieval_times(),
                                  rec.viewing_time);
-        const ItemId d = choose_victim(after, cache.contents(), &freq,
-                                       ecfg.arbitration);
+        const ItemId d = choose_victim(after, cache, &freq, ecfg.arbitration);
         if (unused_prefetch[InstanceView::idx(d)]) {
           if (counted) ++m.wasted_prefetches;
           unused_prefetch[InstanceView::idx(d)] = 0;

@@ -3,7 +3,7 @@
 // The paper evaluates with two unnamed generators: the "skewy method"
 // ("generates a situation where the next request is highly predictable")
 // and the "flat method" ("a less predictable situation"). Neither is
-// specified further, so we define them precisely (DESIGN.md, D2):
+// specified further, so we define them precisely:
 //
 //   * flat : P = normalized Exp(1) draws — a symmetric Dirichlet(1) sample,
 //            the canonical "uniform over the probability simplex".

@@ -36,7 +36,8 @@ TEST(Integration, Fig5OrderingSkewySmallScale) {
 
 TEST(Integration, Fig5SmallVAnomalyIsTheDeltaRule) {
   // Fig. 5a: "The exception is when v is small where the SKP prefetch
-  // performs worse than no prefetch." Reproduction finding (DESIGN.md D1):
+  // performs worse than no prefetch." Reproduction finding (the delta
+  // accounting note in core/skp_solver.hpp):
   // the anomaly is an artifact of the Figure-3 tail-sum delta — under it,
   // overestimated g triggers losing stretches at tiny v; the corrected
   // complement rule never loses to no-prefetch in expectation (it only

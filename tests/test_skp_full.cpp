@@ -10,8 +10,9 @@ namespace skp {
 namespace {
 
 TEST(SkpFull, ClosesTheTheorem1Gap) {
-  // The DESIGN.md D8 counterexample: canonical search reaches g = 1, the
-  // full space reaches g = 2.8 with the non-canonical order <1, 0>.
+  // The Theorem-1 validity-gap counterexample: canonical search reaches
+  // g = 1, the full space reaches g = 2.8 with the non-canonical order
+  // <1, 0>.
   Instance inst;
   inst.P = {0.6, 0.4};
   inst.r = {10.0, 1.0};

@@ -60,8 +60,8 @@ TEST_P(SkpGridTest, ExactComplementMatchesCanonicalBruteForce) {
 
 TEST_P(SkpGridTest, FullSpaceDominatesCanonical) {
   // The unrestricted (subset, z) space contains the canonical subspace, so
-  // its optimum can only be larger (see DESIGN.md D8 for why it sometimes
-  // strictly is).
+  // its optimum can only be larger (SkpEdgeCases below shows why it
+  // sometimes strictly is).
   Rng rng(1500 + GetParam().n);
   for (int trial = 0; trial < 40; ++trial) {
     const Instance inst = draw(rng);
@@ -151,7 +151,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Degenerate shapes exercised separately from the random grid.
 
 TEST(SkpEdgeCases, Theorem1ValidityGapCounterexample) {
-  // DESIGN.md D8: Theorem 1's exchange argument assumes the swapped list
+  // Theorem 1's exchange argument assumes the swapped list
   // stays Eq.-(1)-valid. Counterexample: P = {.6, .4}, r = {10, 1}, v = 5.
   //   canonical space:  <0> with g = 6 - 5 = 1 is the best reachable;
   //   full space:       <1, 0> (z = 0, st = 6) has
